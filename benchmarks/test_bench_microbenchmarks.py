@@ -98,7 +98,7 @@ def test_sum_refresh_selection_throughput(benchmark):
 def test_columnar_sum_selection_throughput(benchmark):
     # The columnar twin of test_sum_refresh_selection_throughput: the same
     # 200-interval SUM selection off a width array (the layout the columnar
-    # simulator core and the shared-memory exchange hand in directly).
+    # simulator core hands in directly).
     import numpy as np
 
     from repro.queries.refresh_selection import select_sum_refreshes_columnar
@@ -116,150 +116,6 @@ def test_columnar_sum_selection_throughput(benchmark):
 
     refreshed = benchmark(select)
     assert isinstance(refreshed, list)
-
-
-#: Scale of the exchange-transport microbenchmarks: a 100-host population
-#: queried at full fan-out, 2 simulated workers, 200 query ticks per round.
-EXCHANGE_BENCH_HOSTS = 100
-EXCHANGE_BENCH_TICKS = 200
-
-
-def _exchange_bench_ticks():
-    """Pre-draw the query sequence and per-worker owned entries.
-
-    Workload generation and the owned-entry cache lookups are common to both
-    transports (``_tick_local`` runs identically either way), so the
-    benchmarks hoist them and time only the per-tick exchange: encode, the
-    pipe round-trips, the coordinator merge, and each worker's refresh
-    screen over the merged state.
-    """
-    from repro.queries.constraints import PrecisionConstraintGenerator
-    from repro.queries.workload import QueryWorkload
-
-    keys = [f"host-{index}" for index in range(EXCHANGE_BENCH_HOSTS)]
-    workload = QueryWorkload(
-        keys=keys,
-        query_size=EXCHANGE_BENCH_HOSTS,
-        period=1.0,
-        constraint_generator=PrecisionConstraintGenerator(
-            average=20.0, variation=1.0, rng=random.Random(5)
-        ),
-        rng=random.Random(4),
-    )
-    rng = random.Random(7)
-    intervals = {
-        key: Interval.centered(rng.uniform(0, 100), rng.uniform(0, 50))
-        for key in keys
-    }
-    values = {key: rng.uniform(0, 100) for key in keys}
-    owner = {key: index % 2 for index, key in enumerate(keys)}
-    ticks = []
-    time = 1.0
-    for _ in range(EXCHANGE_BENCH_TICKS):
-        query = workload.generate(time)
-        time += 1.0
-        locals_by_worker = tuple(
-            {
-                key: (intervals[key], values[key])
-                for key in query.keys
-                if owner[key] == worker
-            }
-            for worker in range(2)
-        )
-        owners = [owner[key] for key in query.keys]
-        ticks.append((query, locals_by_worker, owners))
-    return ticks
-
-
-def test_exchange_pipe_tick_throughput(benchmark):
-    # The pickled-pair exchange, per tick: each worker sends its owned
-    # (interval, exact value) map, the coordinator merges and broadcasts the
-    # merged map, and each worker decodes it and runs the SUM refresh
-    # screen.  Both sides run in one process (as they time-share the 1-core
-    # benchmark box anyway), over real multiprocessing pipes.
-    import multiprocessing
-
-    from repro.queries.refresh_selection import select_sum_refreshes
-
-    ticks = _exchange_bench_ticks()
-
-    def run_ticks():
-        pipes = [multiprocessing.Pipe() for _ in range(2)]
-        try:
-            for query, locals_by_worker, owners in ticks:
-                for (_, worker_end), local in zip(pipes, locals_by_worker):
-                    worker_end.send(("tick", local))
-                merged = {}
-                for coordinator_end, _ in pipes:
-                    _, partial = coordinator_end.recv()
-                    merged.update(partial)
-                for coordinator_end, _ in pipes:
-                    coordinator_end.send(merged)
-                for _, worker_end in pipes:
-                    reply = worker_end.recv()
-                    intervals = {key: reply[key][0] for key in query.keys}
-                    select_sum_refreshes(intervals, query.constraint)
-        finally:
-            for coordinator_end, worker_end in pipes:
-                coordinator_end.close()
-                worker_end.close()
-        return len(ticks)
-
-    count = benchmark(run_ticks)
-    assert count == EXCHANGE_BENCH_TICKS
-
-
-def test_exchange_shm_tick_throughput(benchmark):
-    # The shared-memory exchange on the same ticks: workers encode owned
-    # rows into their plane, pipes carry only constant-size tokens, the
-    # coordinator merges with one fancy-indexed copy, and each worker
-    # screens widths straight off the merged plane (no decode).  Compare
-    # against test_exchange_pipe_tick_throughput for the transport speedup.
-    import multiprocessing
-
-    import numpy as np
-
-    from repro.queries.refresh_selection import select_sum_refreshes_columnar
-    from repro.sharding.workers import ExchangeArray, ShmWorkerExchange
-
-    ticks = _exchange_bench_ticks()
-
-    def run_ticks():
-        pipes = [multiprocessing.Pipe() for _ in range(2)]
-        exchange = ExchangeArray(2, 1, EXCHANGE_BENCH_HOSTS)
-        views = [ShmWorkerExchange(exchange, plane) for plane in range(2)]
-        planes = exchange.array
-        merged_rows = planes[-1, 0]
-        positions = np.arange(EXCHANGE_BENCH_HOSTS)
-        try:
-            for query, locals_by_worker, owners in ticks:
-                for (_, worker_end), view, local in zip(
-                    pipes, views, locals_by_worker
-                ):
-                    view.write_tick(0, query, local)
-                    worker_end.send(("tick", None))
-                for coordinator_end, _ in pipes:
-                    coordinator_end.recv()
-                merged_rows[:] = planes[owners, 0, positions]
-                for coordinator_end, _ in pipes:
-                    coordinator_end.send(None)
-                for (_, worker_end), view in zip(pipes, views):
-                    worker_end.recv()
-                    rows = view.merged_rows(0)
-                    widths = rows[:, 1] - rows[:, 0]
-                    select_sum_refreshes_columnar(
-                        query.keys, widths, query.constraint
-                    )
-        finally:
-            for coordinator_end, worker_end in pipes:
-                coordinator_end.close()
-                worker_end.close()
-            exchange.close()
-            exchange.unlink()
-        return len(ticks)
-
-    count = benchmark(run_ticks)
-    assert count == EXCHANGE_BENCH_TICKS
 
 
 def test_trace_generation_reference_throughput(benchmark):
@@ -282,12 +138,12 @@ def test_walk_schedule_vector_throughput(benchmark):
     assert len(schedule) == BENCH_WALK_STEPS
 
 
-def _run_small_simulation(kernel="batch", shards=1, shard_workers=0):
+def _run_small_simulation(kernel="batch"):
     streams = {
         f"walk-{index}": RandomWalkStream(
             RandomWalkGenerator(start=100.0, rng=random.Random(index))
         )
-        for index in range(5 if shards == 1 else 8)
+        for index in range(5)
     }
     config = SimulationConfig(
         duration=200.0,
@@ -298,8 +154,6 @@ def _run_small_simulation(kernel="batch", shards=1, shard_workers=0):
         constraint_variation=1.0,
         seed=3,
         kernel=kernel,
-        shards=shards,
-        shard_workers=shard_workers,
     )
     policy = AdaptivePrecisionPolicy(
         PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
@@ -319,56 +173,6 @@ def test_simulator_scheduler_fallback_throughput(benchmark):
     # ratio against test_simulator_event_throughput is the batch kernel's
     # recorded dispatch speedup.
     result = benchmark(_run_small_simulation, kernel="scheduler")
-    assert result.duration > 0
-
-
-def test_shard_worker_concurrent_throughput(benchmark):
-    # Shard-worker scaling row: a 4-shard run executed on 2 worker
-    # processes.  Wall-clock includes process spawn and per-tick exchange,
-    # so this measures the real end-to-end cost of the concurrent topology
-    # at small scale (it amortises on paper-scale runs); compare against
-    # test_shard_worker_serial_throughput.
-    result = benchmark(_run_small_simulation, shards=4, shard_workers=2)
-    assert result.duration > 0
-
-
-def test_shard_worker_serial_throughput(benchmark):
-    # The same 4-shard run executed serially through the routing
-    # coordinator (the pre-PR4 behaviour of --shards).
-    result = benchmark(_run_small_simulation, shards=4)
-    assert result.duration > 0
-
-
-def test_shard_worker_windowed_throughput(benchmark):
-    # The windowed exchange (--exchange-window 8): same 4-shard / 2-worker
-    # run with the per-query-tick pipe round-trip batched over windows of 8
-    # ticks.  Compare against test_shard_worker_concurrent_throughput (the
-    # per-tick exchange) for the round-trip amortisation.
-    def run_windowed():
-        streams = {
-            f"walk-{index}": RandomWalkStream(
-                RandomWalkGenerator(start=100.0, rng=random.Random(index))
-            )
-            for index in range(8)
-        }
-        config = SimulationConfig(
-            duration=200.0,
-            warmup=20.0,
-            query_period=1.0,
-            query_size=3,
-            constraint_average=20.0,
-            constraint_variation=1.0,
-            seed=3,
-            shards=4,
-            shard_workers=2,
-            exchange_window=8,
-        )
-        policy = AdaptivePrecisionPolicy(
-            PrecisionParameters(), initial_width=4.0, rng=random.Random(3)
-        )
-        return CacheSimulation(config, streams, policy).run()
-
-    result = benchmark(run_windowed)
     assert result.duration > 0
 
 

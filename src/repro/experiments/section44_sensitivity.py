@@ -39,8 +39,6 @@ def lower_threshold_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one ``theta_0`` setting (picklable sub-run unit)."""
@@ -53,8 +51,6 @@ def lower_threshold_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -99,8 +95,6 @@ def constraint_variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (delta_avg, sigma) cell (picklable sub-run unit)."""
@@ -114,8 +108,6 @@ def constraint_variation_rows(
         seed=seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     policy = adaptive_policy(
@@ -165,8 +157,6 @@ def plan(
     seed: int = 21,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose both studies into one sub-run per parameter cell."""
@@ -182,8 +172,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -201,8 +189,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -229,8 +215,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Produce both Section 4.4 sensitivity studies."""
@@ -241,8 +225,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            shard_workers=shard_workers,
-            exchange_window=exchange_window,
             kernel=kernel,
         ),
         workers=workers,

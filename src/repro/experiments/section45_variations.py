@@ -45,8 +45,6 @@ def _config(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> SimulationConfig:
     return SimulationConfig(
@@ -61,8 +59,6 @@ def _config(
         query_refresh_cost=2.0,
         seed=seed,
         shards=shards,
-        shard_workers=shard_workers,
-        exchange_window=exchange_window,
         engine=engine,
         kernel=kernel,
     )
@@ -86,8 +82,6 @@ def variation_rows(
     seed: int,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> List[Tuple]:
     """The row for one (walk bias, placement variant) cell (picklable).
@@ -95,10 +89,8 @@ def variation_rows(
     The cache is unbounded here, so any ``shards`` count must produce the
     same rows — the CI sharded-smoke job relies on exactly that.  ``engine``
     selects the stream engine generating the walks (``reference`` reproduces
-    the committed table byte-for-byte).  ``shard_workers`` > 1 runs a
-    sharded cell's shards concurrently in worker processes (exact here:
-    rho = 1, so the policy decomposes — see :mod:`repro.sharding.workers`);
-    ``kernel`` picks the event-execution strategy.
+    the committed table byte-for-byte); ``kernel`` picks the
+    event-execution strategy.
     """
     walk_kind = "unbiased walk" if up_probability == 0.5 else "biased walk"
     config = _config(
@@ -106,8 +98,6 @@ def variation_rows(
         seed,
         shards=shards,
         engine=engine,
-        shard_workers=shard_workers,
-        exchange_window=exchange_window,
         kernel=kernel,
     )
     if variant == "centred":
@@ -139,8 +129,6 @@ def plan(
     seed: int = 23,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentPlan:
     """Decompose into one sub-run per (walk bias, placement variant) cell."""
@@ -156,8 +144,6 @@ def plan(
                 seed=seed,
                 shards=shards,
                 engine=engine,
-                shard_workers=shard_workers,
-                exchange_window=exchange_window,
                 kernel=kernel,
             ),
         )
@@ -186,8 +172,6 @@ def run(
     workers: Optional[int] = None,
     shards: int = 1,
     engine: str = "reference",
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> ExperimentResult:
     """Compare centred vs uncentered placement on unbiased and biased walks."""
@@ -199,8 +183,6 @@ def run(
             seed=seed,
             shards=shards,
             engine=engine,
-            shard_workers=shard_workers,
-            exchange_window=exchange_window,
             kernel=kernel,
         ),
         workers=workers,

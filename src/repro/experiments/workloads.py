@@ -191,8 +191,6 @@ def traffic_config(
     query_size: Optional[int] = None,
     shards: int = 1,
     engine: str = DEFAULT_ENGINE,
-    shard_workers: int = 0,
-    exchange_window: int = 1,
     kernel: str = "batch",
 ) -> SimulationConfig:
     """Build a simulation config for the network-monitoring workload.
@@ -201,13 +199,10 @@ def traffic_config(
     the paper's ratio (10 values per query out of 50 hosts) and therefore the
     per-item read rate when experiments run on a reduced host count.
     ``shards`` > 1 fronts the run with the hash-partitioned multi-cache
-    coordinator (see :mod:`repro.sharding`); ``shard_workers`` > 1 runs
-    those shards concurrently in worker processes
-    (:mod:`repro.sharding.workers`), and ``exchange_window`` > 1 batches
-    their per-query-tick exchange over windows of ticks.  ``engine`` records
-    which stream engine generated the run's data (see
-    :mod:`repro.data.engine`); ``kernel`` selects the event-execution
-    strategy (:mod:`repro.simulation.kernel`).
+    coordinator (see :mod:`repro.sharding`).  ``engine`` records which
+    stream engine generated the run's data (see :mod:`repro.data.engine`);
+    ``kernel`` selects the event-execution strategy
+    (:mod:`repro.simulation.kernel`).
     """
     if query_size is None:
         query_size = max(len(trace.keys) // 5, 1)
@@ -224,8 +219,6 @@ def traffic_config(
         constraint_bounds=constraint_bounds,
         cache_capacity=cache_capacity,
         shards=shards,
-        shard_workers=shard_workers,
-        exchange_window=exchange_window,
         engine=engine,
         kernel=kernel,
         value_refresh_cost=value_refresh_cost,

@@ -1,17 +1,16 @@
 """Partition processes: CacheServers spawned and supervised as workers.
 
 :class:`ProcessPartitionPool` runs one :class:`~repro.serving.server.
-CacheServer` per partition in its own OS process, using the same
-:class:`~repro.experiments.runner.WorkerHandle` process management the
-parallel experiment runner uses (spawn, duplex pipe, join → terminate →
-kill escalation).  Each worker binds an ephemeral TCP port and reports it
-over the pipe; the pool exposes ``tcp://`` targets the gateway dials.
+CacheServer` per partition in its own OS process, using the
+:class:`~repro.experiments.runner.WorkerHandle` process management (spawn,
+duplex pipe, join → terminate → kill escalation).  Each worker binds an
+ephemeral TCP port and reports it over the pipe; the pool exposes
+``tcp://`` targets the gateway dials.
 
 The pool is deliberately dumb: it owns *processes*, not protocol state.
 Restart replaces a dead worker with a fresh empty server on a new port —
 re-populating it (the key/value mirror replay, feeder re-registration) is
-the gateway's job (:meth:`GatewayServer.resync_partition`), mirroring how
-``run_concurrent_shards`` leaves resync to its caller.
+the gateway's job (:meth:`GatewayServer.resync_partition`).
 """
 
 from __future__ import annotations

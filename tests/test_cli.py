@@ -66,22 +66,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--engine", "warp"])
 
-    def test_run_accepts_shard_workers(self):
-        args = build_parser().parse_args(
-            ["run", "section45", "--shards", "4", "--shard-workers", "2"]
-        )
-        assert args.shard_workers == 2
-
-    def test_shard_workers_requires_enough_shards(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shard-workers", "2"])
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shards", "2", "--shard-workers", "4"])
-
-    def test_negative_shard_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--shards", "4", "--shard-workers", "-1"])
-
     def test_run_accepts_chunk_size(self):
         args = build_parser().parse_args(
             ["run", "section45", "--workers", "2", "--chunk-size", "3"]
@@ -106,23 +90,11 @@ class TestParser:
 
     def test_core_defaults_to_none(self):
         args = build_parser().parse_args(["run", "section45"])
-        assert args.core is None and args.exchange_transport is None
+        assert args.core is None
 
     def test_unknown_core_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "section45", "--core", "rowwise"])
-
-    def test_run_accepts_exchange_transport(self):
-        args = build_parser().parse_args(
-            ["run", "section45", "--exchange-transport", "pipe"]
-        )
-        assert args.exchange_transport == "pipe"
-
-    def test_unknown_exchange_transport_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "section45", "--exchange-transport", "carrier-pigeon"]
-            )
 
     def test_run_accepts_profile(self):
         args = build_parser().parse_args(
@@ -161,15 +133,33 @@ class TestMain:
         sharded = capsys.readouterr().out
         assert sharded == unsharded
 
-    def test_run_section45_shard_workers_matches_unsharded(self, capsys):
-        # The acceptance diff of the concurrent shard-worker mode: with an
-        # unbounded cache and rho = 1 the concurrent sharded table equals
-        # the plain run byte for byte (CI runs the same diff via the CLI).
+    def test_run_section45_four_shards_matches_unsharded(self, capsys):
+        # The CI sharded-smoke diff: the 4-shard table equals the plain run
+        # byte for byte.
         assert main(["run", "section45"]) == 0
         unsharded = capsys.readouterr().out
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        concurrent = capsys.readouterr().out
-        assert concurrent == unsharded
+        assert main(["run", "section45", "--shards", "4"]) == 0
+        sharded = capsys.readouterr().out
+        assert sharded == unsharded
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--shard-workers", "2"),
+            ("--exchange-window", "8"),
+            ("--exchange-transport", "pipe"),
+        ],
+    )
+    def test_removed_shard_worker_flag_rejected(self, capsys, flag, value):
+        # Sharded runs have one in-process path; the concurrent shard-worker
+        # flags are gone from the parser and its help text.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "section45", "--shards", "4", flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert flag not in capsys.readouterr().out
 
     def test_run_section45_core_object_matches_columnar(self, capsys):
         # The compat-mode acceptance diff: the paper-exact object core and
@@ -185,34 +175,6 @@ class TestMain:
         finally:
             simulation_config.set_default_core(simulation_config.DEFAULT_CORE)
         assert compat == columnar
-
-    def test_run_section45_pipe_transport_matches_shm(self, capsys):
-        from repro.simulation import config as simulation_config
-
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        shm = capsys.readouterr().out
-        try:
-            assert (
-                main(
-                    [
-                        "run",
-                        "section45",
-                        "--shards",
-                        "4",
-                        "--shard-workers",
-                        "2",
-                        "--exchange-transport",
-                        "pipe",
-                    ]
-                )
-                == 0
-            )
-            pipe = capsys.readouterr().out
-        finally:
-            simulation_config.set_default_exchange_transport(
-                simulation_config.DEFAULT_EXCHANGE_TRANSPORT
-            )
-        assert pipe == shm
 
     def test_run_profile_dumps_stats(self, capsys, tmp_path):
         import pstats
@@ -250,14 +212,6 @@ class TestMain:
         captured = capsys.readouterr()
         assert "theta_0" in captured.out
         assert "--kernel ignored" in captured.err
-
-    def test_shard_workers_flag_ignored_with_note_for_unsupported_experiment(
-        self, capsys
-    ):
-        assert main(["run", "table1", "--shards", "4", "--shard-workers", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "theta_0" in captured.out
-        assert "--shard-workers ignored" in captured.err
 
     def test_chunk_size_without_pool_notes_ignored(self, capsys):
         assert main(["run", "table1", "--chunk-size", "2"]) == 0
@@ -379,20 +333,6 @@ class TestServingParser:
                  "part_kill_every=10"]
             )
 
-    def test_run_accepts_exchange_window(self):
-        args = build_parser().parse_args(["run", "section45", "--exchange-window", "8"])
-        assert args.exchange_window == 8
-
-    def test_zero_exchange_window_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "section45", "--exchange-window", "0"])
-
-    def test_exchange_window_ignored_with_note_for_unsupported_experiment(self, capsys):
-        assert main(["run", "table1", "--exchange-window", "4"]) == 0
-        captured = capsys.readouterr()
-        assert "--exchange-window ignored" in captured.err
-
-
 class TestServingMain:
     def test_loadgen_deterministic_matches_offline(self, capsys):
         assert (
@@ -469,24 +409,3 @@ class TestServingMain:
         assert "latency_ms: p50=" in output
         assert "throughput=" in output
 
-    def test_exchange_window_table_matches_per_tick(self, capsys):
-        # Window 8 must print the identical committed table (CI diffs it too).
-        assert main(["run", "section45", "--shards", "4", "--shard-workers", "2"]) == 0
-        per_tick = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "run",
-                    "section45",
-                    "--shards",
-                    "4",
-                    "--shard-workers",
-                    "2",
-                    "--exchange-window",
-                    "8",
-                ]
-            )
-            == 0
-        )
-        windowed = capsys.readouterr().out
-        assert windowed == per_tick
